@@ -5,7 +5,8 @@
 #      (halt_on_error) so misaligned loads in the multi-buffer SHA-1
 #      backends fail the job instead of merely printing
 #   2. Debug + thread sanitizer over the parallel-labeled suites (pool
-#      substrate incl. concurrent submission/leases, binning,
+#      substrate incl. concurrent submission/leases, binning incl. the
+#      joint-binning differential suite's sharded histogram fold,
 #      watermarking, sessions, the service and daemon suites, failure
 #      injection, the concurrent_hospitals smoke test), plus the full 20k
 #      parallel-equivalence property suite, the thread-exercising
@@ -14,7 +15,8 @@
 #      cases run in the Release job), and the 100-connection daemon
 #      loopback soak (slow-labeled, so invoked directly)
 #   3. Release with failpoints compiled in (everything, incl. the
-#      fork/kill crash-recovery acceptance suite)
+#      fork/kill crash-recovery acceptance suite and the slow-labeled
+#      paper-figure golden pins)
 # plus a fault-injection replay of the faultinject-labeled suites under
 # ASan with three fixed PRIVMARK_FAULT_SEED values, and a short-min-time
 # benchmark smoke run on a failpoint-free Release build, gated

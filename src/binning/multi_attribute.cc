@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <limits>
 #include <set>
-#include <unordered_map>
 
 #include "common/parallel.h"
 
@@ -11,62 +10,141 @@ namespace privmark {
 
 namespace {
 
-// Per-row leaf ids for one column (computed once; generalizations change,
-// leaves do not). When the caller already holds an EncodedView, its column
-// is borrowed instead of re-resolving cells.
-Result<std::vector<NodeId>> RowLeaves(const Table& table, size_t column,
-                                      const DomainHierarchy& tree) {
-  std::vector<NodeId> leaves(table.num_rows());
-  for (size_t r = 0; r < table.num_rows(); ++r) {
-    PRIVMARK_ASSIGN_OR_RETURN(leaves[r], tree.LeafForValue(table.at(r, column)));
-  }
-  return leaves;
-}
+// The joint histogram: each distinct row tuple of per-column generalization
+// nodes, with its row count. Tuples live back to back in one flat arena
+// (`stride` NodeIds each) behind an open-addressing index, so interning a
+// tuple allocates nothing per key. Group order depends on insertion order,
+// which nothing downstream observes: the search only sums counts, checks
+// them against k, and regroups.
+class JointHistogram {
+ public:
+  explicit JointHistogram(size_t stride) : stride_(stride) {}
 
-// FNV-1a over the node-id vector; bins are only scanned for < k violations
-// and point-queried, so hashed (unordered) grouping is free speed.
-struct NodeVectorHash {
-  size_t operator()(const std::vector<NodeId>& key) const {
-    uint64_t h = 1469598103934665603ull;
-    for (const NodeId id : key) {
-      h ^= static_cast<uint64_t>(static_cast<uint32_t>(id));
+  size_t num_groups() const { return counts_.size(); }
+  const NodeId* tuple(size_t g) const { return tuples_.data() + g * stride_; }
+  size_t count(size_t g) const { return counts_[g]; }
+
+  bool AllAtLeast(size_t k) const {
+    return std::all_of(counts_.begin(), counts_.end(),
+                       [k](size_t n) { return n >= k; });
+  }
+
+  // Adds `count` rows to the group of `tuple`, interning it if new.
+  void Add(const NodeId* tuple, size_t count) {
+    if (2 * (counts_.size() + 1) > slots_.size()) Grow();
+    size_t& slot = Slot(tuple);
+    if (slot == 0) {
+      slot = counts_.size() + 1;
+      tuples_.insert(tuples_.end(), tuple, tuple + stride_);
+      counts_.push_back(0);
+    }
+    counts_[slot - 1] += count;
+  }
+
+ private:
+  // The slot holding `tuple`'s group, or the empty slot it would take
+  // (linear probing; the index is at most half full).
+  size_t& Slot(const NodeId* tuple) {
+    uint64_t h = 1469598103934665603ull;  // FNV-1a over the tuple
+    for (size_t c = 0; c < stride_; ++c) {
+      h ^= static_cast<uint64_t>(static_cast<uint32_t>(tuple[c]));
       h *= 1099511628211ull;
     }
-    return static_cast<size_t>(h);
+    const size_t mask = slots_.size() - 1;
+    size_t i = static_cast<size_t>(h ^ (h >> 32)) & mask;
+    while (slots_[i] != 0 &&
+           !std::equal(tuple, tuple + stride_, this->tuple(slots_[i] - 1))) {
+      i = (i + 1) & mask;
+    }
+    return slots_[i];
   }
+
+  void Grow() {
+    slots_.assign(std::max<size_t>(16, 2 * slots_.size()), 0);
+    for (size_t g = 0; g < counts_.size(); ++g) Slot(tuple(g)) = g + 1;
+  }
+
+  size_t stride_;
+  std::vector<NodeId> tuples_;  // group g's tuple at [g * stride_, +stride_)
+  std::vector<size_t> counts_;  // rows per group
+  std::vector<size_t> slots_;   // group + 1; 0 marks an empty slot
 };
 
-using BinSizeMap =
-    std::unordered_map<std::vector<NodeId>, size_t, NodeVectorHash>;
-
-// Groups rows by their generalization-node vector; returns bin sizes keyed
-// by the node vector. Columns are borrowed (pointers), matching how the
-// search holds a caller's EncodedView without copying it. With a pool the
-// rows shard contiguously into per-shard maps folded in shard order —
-// integer sums, so the merged map's contents equal the serial map's (and
-// callers only point-query or scan it, never depend on bucket order).
-Result<BinSizeMap> BinSizes(
-    const std::vector<const std::vector<NodeId>*>& row_leaves,
-    const std::vector<GeneralizationSet>& gens, ThreadPool* pool = nullptr) {
-  if (row_leaves.empty()) return BinSizeMap{};
-  const size_t num_rows = row_leaves[0]->size();
-  return ParallelReduce<BinSizeMap>(
-      pool, num_rows, BinSizeMap{},
-      [&](size_t, size_t begin, size_t end) -> Result<BinSizeMap> {
-        BinSizeMap local;
-        std::vector<NodeId> key(gens.size());
+// Counts the table's rows by their node tuple under `level`: the one pass
+// over rows. Leaves come from the caller's encoded view when given, and
+// are resolved once into a view of our own otherwise. Rows shard
+// contiguously into per-shard histograms folded in shard order (integer
+// sums, so the counts are the same for any shard split); the
+// lowest-numbered failing shard's error is the serial pass's first error
+// (rows in order, columns within a row). No columns means no groups.
+Result<JointHistogram> CountRows(const Table& table,
+                                 const std::vector<size_t>& qi_columns,
+                                 const std::vector<GeneralizationSet>& level,
+                                 const EncodedView* view, ThreadPool* pool) {
+  const size_t num_cols = qi_columns.size();
+  EncodedView owned;
+  if (view == nullptr) {
+    std::vector<const DomainHierarchy*> trees;
+    for (const GeneralizationSet& gens : level) trees.push_back(gens.tree());
+    PRIVMARK_ASSIGN_OR_RETURN(
+        owned, EncodedView::Leaves(table, qi_columns, trees, pool));
+    view = &owned;
+  }
+  for (size_t c = 0; c < num_cols; ++c) {
+    if (view->column(c).tree() != level[c].tree()) {
+      return Status::InvalidArgument(
+          "MultiAttributeBin: encoded view column " + std::to_string(c) +
+          " uses a different tree than its minimal nodes");
+    }
+  }
+  if (num_cols == 0) return JointHistogram(0);
+  return ParallelReduce<JointHistogram>(
+      pool, view->num_rows(), JointHistogram(num_cols),
+      [&](size_t, size_t begin, size_t end) -> Result<JointHistogram> {
+        JointHistogram local(num_cols);
+        std::vector<NodeId> key(num_cols);
         for (size_t r = begin; r < end; ++r) {
-          for (size_t c = 0; c < gens.size(); ++c) {
-            PRIVMARK_ASSIGN_OR_RETURN(key[c],
-                                      gens[c].NodeForLeaf((*row_leaves[c])[r]));
+          for (size_t c = 0; c < num_cols; ++c) {
+            PRIVMARK_ASSIGN_OR_RETURN(
+                key[c], level[c].NodeForLeaf(view->column(c).id(r)));
           }
-          ++local[key];
+          local.Add(key.data(), 1);
         }
         return local;
       },
-      [](BinSizeMap* acc, BinSizeMap&& local) {
-        for (auto& [key, count] : local) (*acc)[key] += count;
+      [](JointHistogram* acc, JointHistogram&& local) {
+        // The first shard moves in whole; later ones fold group by group.
+        if (acc->num_groups() == 0) std::swap(*acc, local);
+        for (size_t g = 0; g < local.num_groups(); ++g) {
+          acc->Add(local.tuple(g), local.count(g));
+        }
       });
+}
+
+// Regroups a histogram counted at `from` under the coarser `to`. Every set
+// the search visits is coarser than the one its histogram was counted at,
+// so a row's node under `to` is a function of its `from` node: each tuple
+// lifts through a per-column table over from's members.
+Result<JointHistogram> Regroup(const JointHistogram& hist,
+                               const std::vector<GeneralizationSet>& from,
+                               const std::vector<GeneralizationSet>& to) {
+  const size_t num_cols = from.size();
+  std::vector<std::vector<NodeId>> lift(num_cols);
+  for (size_t c = 0; c < num_cols; ++c) {
+    const DomainHierarchy& tree = *from[c].tree();
+    lift[c].assign(tree.num_nodes(), kInvalidNode);
+    for (NodeId member : from[c].nodes()) {
+      PRIVMARK_ASSIGN_OR_RETURN(lift[c][member],
+                                to[c].NodeForLeaf(tree.FirstLeafUnder(member)));
+    }
+  }
+  JointHistogram out(num_cols);
+  std::vector<NodeId> key(num_cols);
+  for (size_t g = 0; g < hist.num_groups(); ++g) {
+    for (size_t c = 0; c < num_cols; ++c) key[c] = lift[c][hist.tuple(g)[c]];
+    out.Add(key.data(), hist.count(g));
+  }
+  return out;
 }
 
 double TotalSpecificityLoss(const std::vector<GeneralizationSet>& gens) {
@@ -79,7 +157,6 @@ double TotalSpecificityLoss(const std::vector<GeneralizationSet>& gens) {
 struct MergeStep {
   size_t column;
   NodeId parent;
-  size_t members_merged;   // how many current members the step removes
   double delta_loss;       // specificity-loss increase
   size_t violating_covered;  // rows in sub-k bins whose node is under parent
 };
@@ -90,22 +167,9 @@ Result<bool> IsJointlyKAnonymous(const Table& table,
                                  const std::vector<size_t>& qi_columns,
                                  const std::vector<GeneralizationSet>& gens,
                                  size_t k) {
-  std::vector<std::vector<NodeId>> owned;
-  owned.reserve(qi_columns.size());
-  std::vector<const std::vector<NodeId>*> row_leaves;
-  row_leaves.reserve(qi_columns.size());
-  for (size_t c = 0; c < qi_columns.size(); ++c) {
-    PRIVMARK_ASSIGN_OR_RETURN(
-        std::vector<NodeId> leaves,
-        RowLeaves(table, qi_columns[c], *gens[c].tree()));
-    owned.push_back(std::move(leaves));
-    row_leaves.push_back(&owned.back());
-  }
-  PRIVMARK_ASSIGN_OR_RETURN(auto bins, BinSizes(row_leaves, gens));
-  for (const auto& [key, size] : bins) {
-    if (size < k) return false;
-  }
-  return true;
+  PRIVMARK_ASSIGN_OR_RETURN(
+      auto hist, CountRows(table, qi_columns, gens, nullptr, nullptr));
+  return hist.AllAtLeast(k);
 }
 
 Result<MultiBinningResult> MultiAttributeBin(
@@ -137,52 +201,17 @@ Result<MultiBinningResult> MultiAttributeBin(
         std::to_string(num_cols));
   }
 
-  // Per-column row leaves: borrowed by pointer from the caller's encoded
-  // view when available (no copies), resolved once into `owned` otherwise.
-  std::vector<std::vector<NodeId>> owned;
-  owned.reserve(num_cols);
-  std::vector<const std::vector<NodeId>*> row_leaves;
-  row_leaves.reserve(num_cols);
-  for (size_t c = 0; c < num_cols; ++c) {
-    if (view != nullptr) {
-      if (view->column(c).tree() != minimal[c].tree()) {
-        return Status::InvalidArgument(
-            "MultiAttributeBin: encoded view column " + std::to_string(c) +
-            " uses a different tree than its minimal nodes");
-      }
-      row_leaves.push_back(&view->column(c).ids());
-      continue;
-    }
-    PRIVMARK_ASSIGN_OR_RETURN(
-        std::vector<NodeId> leaves,
-        RowLeaves(table, qi_columns[c], *minimal[c].tree()));
-    owned.push_back(std::move(leaves));
-    row_leaves.push_back(&owned.back());
-  }
-
-  // Row-sharded variant for the top-level checks; candidate-sharded code
-  // paths below pass no pool of their own (ThreadPool::Run is fork-join
-  // and not reentrant), keeping exactly one parallel dimension per stage.
-  auto jointly_k_anonymous_on =
-      [&](const std::vector<GeneralizationSet>& gens,
-          ThreadPool* check_pool) -> Result<bool> {
-    PRIVMARK_ASSIGN_OR_RETURN(auto bins,
-                              BinSizes(row_leaves, gens, check_pool));
-    for (const auto& [key, size] : bins) {
-      if (size < options.k) return false;
-    }
-    return true;
-  };
-  auto jointly_k_anonymous =
-      [&](const std::vector<GeneralizationSet>& gens) -> Result<bool> {
-    return jointly_k_anonymous_on(gens, pool);
-  };
+  // The only pass over rows: distinct tuples at the minimal nodes, which
+  // refine every generalization the search visits (greedy merges upward
+  // from them; exhaustive candidates lie between minimal and maximal).
+  PRIVMARK_ASSIGN_OR_RETURN(
+      JointHistogram hist,
+      CountRows(table, qi_columns, minimal, view, pool));
 
   MultiBinningResult result;
 
   // Fast path: the minimal nodes may already be jointly k-anonymous.
-  PRIVMARK_ASSIGN_OR_RETURN(bool min_ok, jointly_k_anonymous(minimal));
-  if (min_ok) {
+  if (hist.AllAtLeast(options.k)) {
     result.ultimate = minimal;
     result.candidates_considered = 1;
     result.already_satisfied = true;
@@ -191,8 +220,8 @@ Result<MultiBinningResult> MultiAttributeBin(
   }
 
   // The data is binnable only if the all-maximal combination works.
-  PRIVMARK_ASSIGN_OR_RETURN(bool max_ok, jointly_k_anonymous(maximal));
-  if (!max_ok) {
+  PRIVMARK_ASSIGN_OR_RETURN(auto at_maximal, Regroup(hist, minimal, maximal));
+  if (!at_maximal.AllAtLeast(options.k)) {
     return Status::Unbinnable(
         "even the maximal generalization nodes are not jointly " +
         std::to_string(options.k) + "-anonymous; the data is not binnable "
@@ -229,8 +258,8 @@ Result<MultiBinningResult> MultiAttributeBin(
     // serial pruning rule (k-check only on a strict loss improvement), so
     // its winner is the earliest minimal-loss valid candidate of its
     // range; strict-< folding then picks the earliest global one — the
-    // exact candidate the serial odometer loop selects. The k-checks
-    // inside a shard run serially (one parallel dimension: candidates).
+    // exact candidate the serial odometer loop selects. Each k-check
+    // regroups the shared minimal histogram (read-only across shards).
     struct ShardBest {
       double loss = std::numeric_limits<double>::infinity();
       std::vector<GeneralizationSet> gens;
@@ -257,8 +286,8 @@ Result<MultiBinningResult> MultiAttributeBin(
                 const double loss = TotalSpecificityLoss(candidate);
                 if (loss < local.loss) {
                   PRIVMARK_ASSIGN_OR_RETURN(
-                      bool ok, jointly_k_anonymous_on(candidate, nullptr));
-                  if (ok) {
+                      auto bins, Regroup(hist, minimal, candidate));
+                  if (bins.AllAtLeast(options.k)) {
                     local.loss = loss;
                     local.gens = candidate;
                   }
@@ -285,44 +314,25 @@ Result<MultiBinningResult> MultiAttributeBin(
 
   // Greedy strategy: start at the minimal nodes; while some bin is smaller
   // than k, apply the parent-merge with the best
-  // (violating-rows-covered / specificity-loss) ratio.
+  // (violating-rows-covered / specificity-loss) ratio. `hist` always holds
+  // the bins at `current`: each applied merge rolls it up through the one
+  // changed column, so later steps regroup ever fewer tuples.
   std::vector<GeneralizationSet> current = minimal;
+  std::vector<std::vector<size_t>> violating(num_cols);
   for (;;) {
-    PRIVMARK_ASSIGN_OR_RETURN(auto bins, BinSizes(row_leaves, current, pool));
-    // Per-row current nodes and per-row violation flags. Rows shard
-    // contiguously; every row's slots are written by exactly one shard.
-    const size_t num_rows = table.num_rows();
-    std::vector<std::vector<NodeId>> row_nodes(num_cols);
-    for (size_t c = 0; c < num_cols; ++c) row_nodes[c].resize(num_rows);
-    PRIVMARK_RETURN_NOT_OK(ParallelFor(
-        pool, num_rows, [&](size_t, size_t begin, size_t end) -> Status {
-          for (size_t c = 0; c < num_cols; ++c) {
-            for (size_t r = begin; r < end; ++r) {
-              PRIVMARK_ASSIGN_OR_RETURN(
-                  row_nodes[c][r], current[c].NodeForLeaf((*row_leaves[c])[r]));
-            }
-          }
-          return Status::OK();
-        }));
-    std::vector<char> violating(num_rows, 0);
-    size_t num_violating = 0;
-    {
-      std::vector<NodeId> key(num_cols);
-      for (size_t r = 0; r < num_rows; ++r) {
-        for (size_t c = 0; c < num_cols; ++c) key[c] = row_nodes[c][r];
-        if (bins.at(key) < options.k) {
-          violating[r] = 1;
-          ++num_violating;
+    if (hist.AllAtLeast(options.k)) break;
+    // violating[c][node]: rows in sub-k bins whose column-c node is `node`.
+    for (size_t c = 0; c < num_cols; ++c) {
+      violating[c].assign(current[c].tree()->num_nodes(), 0);
+      for (size_t g = 0; g < hist.num_groups(); ++g) {
+        if (hist.count(g) < options.k) {
+          violating[c][hist.tuple(g)[c]] += hist.count(g);
         }
       }
     }
-    if (num_violating == 0) break;
 
-    // Enumerate candidate merge steps. Eligibility and the cheap
-    // per-member counts stay serial; the expensive per-candidate
-    // violating-row scans fan out over the candidates, each writing only
-    // its own pre-sized slot, so the step list is identical to the serial
-    // one in content and order.
+    // Enumerate candidate merge steps. A row's node is a current member,
+    // so the violating rows under `p` are the sum over members under it.
     std::vector<MergeStep> steps;
     for (size_t c = 0; c < num_cols; ++c) {
       const DomainHierarchy& tree = *current[c].tree();
@@ -344,32 +354,19 @@ Result<MultiBinningResult> MultiAttributeBin(
         if (!tree.IsAncestorOrSelf(max_cover, p)) continue;
 
         size_t members_merged = 0;
+        size_t covered = 0;
         for (NodeId member : current[c].nodes()) {
-          if (tree.IsAncestorOrSelf(p, member)) ++members_merged;
+          if (tree.IsAncestorOrSelf(p, member)) {
+            ++members_merged;
+            covered += violating[c][member];
+          }
         }
         const double n_leaves = static_cast<double>(tree.Leaves().size());
         steps.push_back(MergeStep{
-            c, p, members_merged,
-            static_cast<double>(members_merged - 1) / n_leaves, 0});
+            c, p, static_cast<double>(members_merged - 1) / n_leaves,
+            covered});
       }
     }
-    PRIVMARK_RETURN_NOT_OK(ParallelFor(
-        pool, steps.size(), [&](size_t, size_t begin, size_t end) -> Status {
-          for (size_t s = begin; s < end; ++s) {
-            MergeStep& step = steps[s];
-            const DomainHierarchy& tree = *current[step.column].tree();
-            size_t covered = 0;
-            for (size_t r = 0; r < num_rows; ++r) {
-              if (violating[r] &&
-                  tree.IsAncestorOrSelf(step.parent,
-                                        row_nodes[step.column][r])) {
-                ++covered;
-              }
-            }
-            step.violating_covered = covered;
-          }
-          return Status::OK();
-        }));
     if (steps.empty()) {
       return Status::Unbinnable(
           "greedy multi-attribute binning ran out of merge steps before "
@@ -392,19 +389,22 @@ Result<MultiBinningResult> MultiAttributeBin(
       if (better(step, *best)) best = &step;
     }
 
-    // Apply the step: members under `parent` are replaced by `parent`.
+    // Apply the step: members under `parent` are replaced by `parent`, and
+    // the bins roll up to the new nodes.
     const DomainHierarchy& tree = *current[best->column].tree();
     std::vector<NodeId> next_nodes;
-    next_nodes.reserve(current[best->column].nodes().size());
     for (NodeId member : current[best->column].nodes()) {
       if (!tree.IsAncestorOrSelf(best->parent, member)) {
         next_nodes.push_back(member);
       }
     }
     next_nodes.push_back(best->parent);
+    std::vector<GeneralizationSet> next = current;
     PRIVMARK_ASSIGN_OR_RETURN(
-        current[best->column],
+        next[best->column],
         GeneralizationSet::Create(&tree, std::move(next_nodes)));
+    PRIVMARK_ASSIGN_OR_RETURN(hist, Regroup(hist, current, next));
+    current = std::move(next);
     ++result.candidates_considered;
   }
 

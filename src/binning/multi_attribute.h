@@ -33,7 +33,10 @@ enum class SearchStrategy {
   /// Fig. 7 verbatim: enumerate every allowable combination. Exponential;
   /// guarded by max_enumerations.
   kExhaustive,
-  /// Greedy bottom-up merging; near-minimal loss at O(steps * table scans).
+  /// Greedy bottom-up merging; near-minimal loss. Costs one pass over the
+  /// rows to count distinct quasi-identifier tuples, then per merge step
+  /// one regroup of the current bins plus scoring every candidate merge
+  /// over its column's member nodes; no step rescans rows.
   kGreedy,
 };
 
@@ -48,7 +51,10 @@ struct MultiBinningResult {
   /// The ultimate generalization nodes, one set per column (parallel to the
   /// input column order).
   std::vector<GeneralizationSet> ultimate;
-  /// How many complete candidate generalizations were evaluated.
+  /// Search effort, by path: kGreedy counts the merge steps it applied,
+  /// kExhaustive counts the combinations it enumerated (including those
+  /// loss pruning never k-checked), and the already-satisfied fast path
+  /// reports 1.
   size_t candidates_considered = 0;
   /// True if the minimal nodes were already jointly k-anonymous.
   bool already_satisfied = false;
@@ -71,14 +77,14 @@ struct MultiBinningResult {
 /// \param view optional pre-encoded leaf view of the table's qi_columns
 ///        (parallel to them); when given, the search reuses it instead of
 ///        re-resolving every cell through the label index.
-/// \param pool optional worker pool for the candidate search. Candidates
-///        are independent, so they evaluate in parallel and the verdicts
-///        merge in candidate order: kGreedy fans out the per-candidate
-///        violating-row scans (and shards the row-grouping passes),
-///        kExhaustive shards the enumeration index space with per-shard
-///        bests folded in shard order. The chosen generalization,
-///        candidates_considered, and loss are identical to the serial
-///        search for any worker count.
+/// \param pool optional worker pool. It shards the one pass over rows
+///        (leaf resolution when no view is given, then counting distinct
+///        tuples into per-shard histograms folded in shard order), and
+///        kExhaustive also shards the enumeration index space with
+///        per-shard bests folded in shard order. Greedy steps work on the
+///        distinct tuples and run on the caller. The chosen
+///        generalization, candidates_considered, loss, and any error are
+///        identical to the serial search for any worker count.
 Result<MultiBinningResult> MultiAttributeBin(
     const Table& table, const std::vector<size_t>& qi_columns,
     const std::vector<GeneralizationSet>& minimal,
@@ -89,8 +95,8 @@ Result<MultiBinningResult> MultiAttributeBin(
 /// \brief Checks whether a per-column generalization combination makes the
 /// table jointly k-anonymous; exposed for tests and the framework report.
 ///
-/// Rows are mapped through each column's generalization and grouped; every
-/// group must have >= k rows.
+/// Rows are counted by their tuple of per-column generalization nodes;
+/// every distinct tuple must cover >= k rows.
 Result<bool> IsJointlyKAnonymous(const Table& table,
                                  const std::vector<size_t>& qi_columns,
                                  const std::vector<GeneralizationSet>& gens,
