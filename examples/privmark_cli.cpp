@@ -112,10 +112,9 @@
 //       writes the manifests the daemon serialized — byte-identical to
 //       a local run's. Script lines gain an optional --deadline-ms=N
 //       per request (absent = the daemon's default), and `fingerprint`
-//       gains --stream: under protocol v2 the daemon streams each
-//       key-shard's verdicts as a partial frame, printed as they land,
-//       before the terminal ranking (byte-identical to the one-shot
-//       report).
+//       gains --stream: the daemon streams each key-shard's verdicts as
+//       a partial frame, printed as they land, before the terminal
+//       ranking (byte-identical to the one-shot report).
 //
 // --threads=N runs the row-sharded pipeline stages on N workers (0 = one
 // per hardware thread); outputs are byte-identical for every N, so the
@@ -734,10 +733,10 @@ bool DrainStream(const std::string& name, ClientStream* stream) {
 
 // ---- serve --connect: the same script against a remote daemon ------------
 //
-// One DaemonClient per stream: a connection's requests are synchronous
-// (the wire protocol pipelines across connections, not within one), so
-// there is no pending deque — every script line completes before the
-// next is read.
+// One DaemonClient per stream. The wire protocol could pipeline a
+// stream's requests over its connection, but the script runs one line
+// at a time, so there is no pending deque — every script line completes
+// before the next is read.
 struct RemoteStream {
   std::string out_path;
   std::string manifest_path;
@@ -886,7 +885,7 @@ bool RemoteCall(const std::string& name, RemoteStream* stream,
   return true;
 }
 
-// Streamed fingerprint (v2 only): prints each key-shard's verdicts as
+// Streamed fingerprint: prints each key-shard's verdicts as
 // its kPartial frame arrives, then the terminal ranking — which Wait()
 // validated against the very shards just printed.
 bool RemoteFingerprintStreamed(const std::string& name, RemoteStream* stream,
@@ -1070,10 +1069,6 @@ int ServeRemote(const Args& args, std::istream& script,
                                               MedicalSchema()))
                           : stream.emitted.Clone();
       if (cmd.flags.count("stream") > 0) {
-        if (stream.client->protocol_version() < kWireProtocolV2) {
-          return bad_line(
-              "--stream needs a v2 daemon (this one negotiated v1)");
-        }
         if (!RemoteFingerprintStreamed(name, &stream, std::move(request))) {
           return 1;
         }

@@ -84,68 +84,51 @@ void PrivmarkDaemon::AcceptLoop() {
       ::close(fd);
       return;
     }
+    ReapFinishedLocked();
     ++accepted_;
     auto connection = std::make_unique<Connection>();
     connection->fd = fd;
     Connection* raw = connection.get();
     connections_.push_back(std::move(connection));
-    raw->thread = std::thread([this, fd] { ServeConnection(fd); });
+    // `raw` stays valid for the thread's lifetime: only the reaper
+    // (after done) and Shutdown (after join) destroy the record.
+    raw->thread = std::thread([this, raw] {
+      ServeConnection(raw->fd);
+      std::lock_guard<std::mutex> done_lock(mu_);
+      raw->done = true;
+    });
   }
 }
 
-void PrivmarkDaemon::ServeConnection(int fd) {
-  // Handshake: read the client's magic, negotiate down to the lower of
-  // the two maxima, echo the negotiated magic. An unknown magic = wrong
-  // protocol; hang up without guessing.
-  char magic[kWireMagicSize];
-  char echo[kWireMagicSize];
-  uint8_t version = 0;
-  if (!ReadFullySocket(fd, magic, sizeof(magic)) ||
-      (version = std::min(WireMagicVersion(magic),
-                          config_.max_protocol_version)) == 0 ||
-      !WireMagicFor(version, echo) ||
-      !WriteFullySocket(fd, echo, kWireMagicSize)) {
-    ::shutdown(fd, SHUT_RDWR);
-    return;
+void PrivmarkDaemon::ReapFinishedLocked() {
+  // Close only after the join, and erase in the same critical section:
+  // Shutdown() shuts down every fd still listed, so a listed fd must
+  // never be a closed (and possibly reused) descriptor number.
+  auto finished = std::stable_partition(
+      connections_.begin(), connections_.end(),
+      [](const std::unique_ptr<Connection>& c) { return !c->done; });
+  for (auto it = finished; it != connections_.end(); ++it) {
+    (*it)->thread.join();
+    ::close((*it)->fd);
   }
-  if (version == kWireProtocolV1) {
-    ServeLockStep(fd);
-  } else {
+  connections_.erase(finished, connections_.end());
+}
+
+void PrivmarkDaemon::ServeConnection(int fd) {
+  // Handshake: the client's hello must be the protocol magic, echoed
+  // back. Anything else is the wrong protocol: hang up without echoing.
+  char magic[kWireMagicSize];
+  if (ReadFullySocket(fd, magic, sizeof(magic)) &&
+      std::memcmp(magic, kWireMagic, kWireMagicSize) == 0 &&
+      WriteFullySocket(fd, kWireMagic, kWireMagicSize)) {
     ServeMultiplexed(fd);
   }
   ::shutdown(fd, SHUT_RDWR);
 }
 
-void PrivmarkDaemon::ServeLockStep(int fd) {
-  // Per-connection codec state; see wire.h on dictionary scoping.
-  WireTableEncoder encoder;
-  WireTableDecoder decoder(config_.schema);
-
-  for (;;) {
-    char header[kWireFrameHeaderBytes];
-    if (!ReadFullySocket(fd, header, sizeof(header))) break;
-    Result<size_t> body_length = WireFrameBodyLength(header);
-    if (!body_length.ok()) break;  // oversized length: protocol error
-    std::string body(*body_length, '\0');
-    if (!ReadFullySocket(fd, body.data(), body.size())) break;
-    Result<WireFrame> frame = DecodeWireFrameBody(header, body.data(),
-                                                  body.size());
-    if (!frame.ok() || frame->type == WireFrameType::kResponse) break;
-    Result<WireRequest> request =
-        DecodeWireRequest(frame->type, frame->payload, &decoder);
-    if (!request.ok()) break;  // codec state unknowable: hang up
-
-    const WireResponse response = Execute(*request);
-    const std::string payload = EncodeWireResponse(response, &encoder);
-    Result<std::string> out = EncodeWireFrame(WireFrameType::kResponse,
-                                              payload);
-    if (!out.ok() || !WriteFullySocket(fd, out->data(), out->size())) break;
-  }
-}
-
-void PrivmarkDaemon::WriteResponseV2(MuxConnection* mux, uint64_t request_id,
-                                     const WireResponse& response,
-                                     bool streamed) {
+void PrivmarkDaemon::WriteResponse(MuxConnection* mux, uint64_t request_id,
+                                   const WireResponse& response,
+                                   bool streamed) {
   std::lock_guard<std::mutex> lock(mux->write_mu);
   if (mux->broken) return;
   WireFrame frame;
@@ -166,8 +149,8 @@ void PrivmarkDaemon::WriteResponseV2(MuxConnection* mux, uint64_t request_id,
   }
 }
 
-void PrivmarkDaemon::WritePartialV2(MuxConnection* mux, uint64_t request_id,
-                                    const FingerprintShard& shard) {
+void PrivmarkDaemon::WritePartial(MuxConnection* mux, uint64_t request_id,
+                                  const FingerprintShard& shard) {
   std::lock_guard<std::mutex> lock(mux->write_mu);
   if (mux->broken) return;
   WireFrame frame;
@@ -220,7 +203,7 @@ void PrivmarkDaemon::ServeMultiplexed(int fd) {
       WireResponse response = FinishResponse(pending.type, pending.session,
                                              pending.future.get());
       response.request_id = pending.request_id;
-      WriteResponseV2(&mux, pending.request_id, response, pending.streamed);
+      WriteResponse(&mux, pending.request_id, response, pending.streamed);
       lock.lock();
       --busy;
       queue_cv.notify_all();  // the reader may be parked at the cap
@@ -254,7 +237,7 @@ void PrivmarkDaemon::ServeMultiplexed(int fd) {
       // pipelined request for the new session is submitted.
       WireResponse response = ExecuteOpen(*request);
       response.request_id = frame->request_id;
-      WriteResponseV2(&mux, frame->request_id, response, false);
+      WriteResponse(&mux, frame->request_id, response, false);
     } else {
       Result<ServiceRequest> service_request = ToServiceRequest(*request);
       if (!service_request.ok()) {
@@ -263,14 +246,14 @@ void PrivmarkDaemon::ServeMultiplexed(int fd) {
         WireResponse response = ToWireResponse(
             frame->type, Result<ServiceResponse>(service_request.status()));
         response.request_id = frame->request_id;
-        WriteResponseV2(&mux, frame->request_id, response, false);
+        WriteResponse(&mux, frame->request_id, response, false);
       } else {
         if (request->stream) {
           const uint64_t request_id = frame->request_id;
           MuxConnection* mux_ptr = &mux;
           service_request->fingerprint_sink =
               [this, mux_ptr, request_id](const FingerprintShard& shard) {
-                WritePartialV2(mux_ptr, request_id, shard);
+                WritePartial(mux_ptr, request_id, shard);
               };
         }
         Pending pending;
@@ -363,18 +346,6 @@ WireResponse PrivmarkDaemon::ExecuteOpen(const WireRequest& request) {
   response.open.tail_truncated = recovery.tail_truncated;
   response.open.emitted = std::move(recovery.emitted);
   return response;
-}
-
-WireResponse PrivmarkDaemon::Execute(const WireRequest& request) {
-  if (request.type == WireFrameType::kOpen) return ExecuteOpen(request);
-
-  Result<ServiceRequest> service_request = ToServiceRequest(request);
-  if (!service_request.ok()) {
-    return ToWireResponse(request.type,
-                          Result<ServiceResponse>(service_request.status()));
-  }
-  return FinishResponse(request.type, request.session,
-                        service_.Submit(*std::move(service_request)).get());
 }
 
 WireResponse PrivmarkDaemon::FinishResponse(WireFrameType type,

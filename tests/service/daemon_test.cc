@@ -1,13 +1,14 @@
 // Daemon robustness suite: the network front-end against well-formed
 // clients, hostile peers (bad magic, oversized lengths, unknown tags,
-// CRC damage, mid-frame disconnects), injected socket faults, and
-// overload (typed retry_after_ms shedding over the wire). A protocol
-// error must be fatal to the offending connection only — the daemon
-// keeps serving everyone else.
+// CRC damage, mid-frame disconnects), injected socket faults, overload
+// (typed retry_after_ms shedding over the wire), and connection
+// reaping. A protocol error must be fatal to the offending connection
+// only — the daemon keeps serving everyone else.
 
 #include "service/daemon.h"
 
 #include <arpa/inet.h>
+#include <dirent.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
 #include <unistd.h>
@@ -86,6 +87,15 @@ int RawConnect(uint16_t port) {
     return -1;
   }
   return fd;
+}
+
+// A request frame as a client would put it on the wire.
+Result<std::string> RequestFrame(WireFrameType type, std::string payload) {
+  WireFrame frame;
+  frame.type = type;
+  frame.request_id = 1;
+  frame.payload = std::move(payload);
+  return EncodeWireFrame(frame, kWireProtocolV2);
 }
 
 // Sends `bytes` verbatim, then waits for the daemon to hang up (recv
@@ -223,7 +233,9 @@ TEST(DaemonTest, UnknownFrameTagIsFatalToTheConnectionOnly) {
   const int fd = RawConnect(env.daemon->port());
   ASSERT_GE(fd, 0);
   std::string bytes(kWireMagic, kWireMagicSize);
-  auto frame = EncodeWireFrame(static_cast<WireFrameType>(0x2a), "payload");
+  // Tag 0 sits below the request range (the tag above the range is
+  // DaemonNegotiationTest.UnknownFrameTypeUnderV2ClosesConnection's).
+  auto frame = RequestFrame(static_cast<WireFrameType>(0), "payload");
   ASSERT_TRUE(frame.ok());
   bytes += *frame;
   ExpectDisconnectAfter(fd, bytes, /*expect_back=*/kWireMagicSize);
@@ -237,7 +249,7 @@ TEST(DaemonTest, CorruptCrcIsFatalToTheConnectionOnly) {
   ASSERT_GE(fd, 0);
   std::string bytes(kWireMagic, kWireMagicSize);
   WireTableEncoder encoder;
-  auto frame = EncodeWireFrame(
+  auto frame = RequestFrame(
       WireFrameType::kClose,
       EncodeWireRequest(
           [] {
@@ -261,9 +273,8 @@ TEST(DaemonTest, MidFrameDisconnectLeavesTheDaemonServing) {
   ASSERT_GE(fd, 0);
   std::string bytes(kWireMagic, kWireMagicSize);
   WireTableEncoder encoder;
-  auto frame =
-      EncodeWireFrame(WireFrameType::kOpen,
-                      EncodeWireRequest(OpenRequest("torn"), &encoder));
+  auto frame = RequestFrame(WireFrameType::kOpen,
+                            EncodeWireRequest(OpenRequest("torn"), &encoder));
   ASSERT_TRUE(frame.ok());
   // Half the frame, then hang up mid-read.
   bytes += frame->substr(0, frame->size() / 2);
@@ -387,79 +398,69 @@ TEST(DaemonTest, ShedRequestsCarryTypedRetryAfterMs) {
   EXPECT_TRUE(env.daemon->Shutdown().ok());
 }
 
-// ---- version negotiation ---------------------------------------------------
-
-// Runs one full session lifecycle over `client` and checks the daemon
-// answers correctly — the body is version-agnostic on purpose: the same
-// exchanges must work over v1 lock-step and v2 multiplexing.
-void ExpectLifecycleWorks(DaemonClient* client, const Table& rows,
-                          const std::string& session) {
-  auto open = client->Call(OpenRequest(session));
-  ASSERT_TRUE(open.ok()) << open.status().ToString();
-  ASSERT_TRUE(open->status.ok()) << open->status.ToString();
-  WireRequest ingest;
-  ingest.type = WireFrameType::kIngest;
-  ingest.session = session;
-  ingest.table = rows.Clone();
-  auto ingested = client->Call(ingest);
-  ASSERT_TRUE(ingested.ok()) << ingested.status().ToString();
-  ASSERT_TRUE(ingested->status.ok()) << ingested->status.ToString();
-  WireRequest close;
-  close.type = WireFrameType::kClose;
-  close.session = session;
-  auto closed = client->Call(close);
-  ASSERT_TRUE(closed.ok()) << closed.status().ToString();
-  ASSERT_TRUE(closed->status.ok()) << closed->status.ToString();
-  EXPECT_EQ(closed->close.rows_ingested, rows.num_rows());
-}
+// ---- handshake -------------------------------------------------------------
 
 TEST(DaemonNegotiationTest, V2PeersNegotiateV2) {
   Env env = StartDaemon();
-  DaemonClient client(MedicalSchema());
-  ASSERT_TRUE(client.Connect("127.0.0.1", env.daemon->port()).ok());
-  EXPECT_EQ(client.protocol_version(), kWireProtocolV2);
-  ExpectLifecycleWorks(&client, env.dataset->table, "v2v2");
+  // The daemon echoes the one magic verbatim...
+  const int fd = RawConnect(env.daemon->port());
+  ASSERT_GE(fd, 0);
+  ASSERT_TRUE(WriteFullySocket(fd, kWireMagic, kWireMagicSize));
+  char echo[kWireMagicSize];
+  ASSERT_TRUE(ReadFullySocket(fd, echo, sizeof(echo)));
+  EXPECT_EQ(std::string(echo, sizeof(echo)), "PRVMNET2");
+  ::close(fd);
+  // ...and the client's handshake accepts that echo.
+  ExpectStillServing(env.daemon.get(), "v2v2");
   EXPECT_TRUE(env.daemon->Shutdown().ok());
 }
 
-TEST(DaemonNegotiationTest, V1ClientAgainstV2ServerStaysLockStep) {
+TEST(DaemonNegotiationTest, V1HelloIsRefusedWithoutEcho) {
   Env env = StartDaemon();
-  DaemonClient client(MedicalSchema(), kWireProtocolV1);
-  ASSERT_TRUE(client.Connect("127.0.0.1", env.daemon->port()).ok());
-  EXPECT_EQ(client.protocol_version(), kWireProtocolV1);
-  ExpectLifecycleWorks(&client, env.dataset->table, "v1v2");
-  // CallAsync is a v2 surface; a v1 connection refuses it rather than
-  // desynchronizing the lock-step exchange.
-  EXPECT_FALSE(client.CallAsync(OpenRequest("nope")).ok());
+  // The retired lock-step protocol's magic is as foreign as any other:
+  // no echo, no downgrade, just a hang-up.
+  const int fd = RawConnect(env.daemon->port());
+  ASSERT_GE(fd, 0);
+  ExpectDisconnectAfter(fd, "PRVMNET1", /*expect_back=*/0);
+  ExpectStillServing(env.daemon.get(), "after-v1-hello");
   EXPECT_TRUE(env.daemon->Shutdown().ok());
 }
 
-TEST(DaemonNegotiationTest, V2ClientAgainstV1PinnedServerDowngrades) {
-  Env env;
-  MedicalDataSpec spec;
-  spec.num_rows = kRows;
-  spec.seed = 515151;
-  env.dataset = std::make_unique<MedicalDataset>(
-      std::move(GenerateMedicalDataset(spec)).ValueOrDie());
-  MedicalDataset* ontologies = env.dataset.get();
-  DaemonConfig config;
-  config.schema = MedicalSchema();
-  config.max_protocol_version = kWireProtocolV1;  // a pre-v2 daemon
-  config.metrics_for_config =
-      [ontologies](const FrameworkConfig& fc) -> Result<UsageMetrics> {
-    if (fc.binning.enforce_joint) {
-      return UnconstrainedMetrics(ontologies->trees());
+TEST(DaemonNegotiationTest, ClientRefusesV1Echo) {
+  // A peer that answers the hello with the retired lock-step magic: the
+  // client must fail the handshake instead of talking to it.
+  const int listener = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(listener, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  addr.sin_port = 0;
+  ASSERT_EQ(::bind(listener, reinterpret_cast<sockaddr*>(&addr),
+                   sizeof(addr)), 0);
+  ASSERT_EQ(::listen(listener, 1), 0);
+  socklen_t addr_len = sizeof(addr);
+  ASSERT_EQ(::getsockname(listener, reinterpret_cast<sockaddr*>(&addr),
+                          &addr_len), 0);
+  std::string hello;
+  std::thread peer([listener, &hello] {
+    const int fd = ::accept(listener, nullptr, nullptr);
+    if (fd < 0) return;
+    char magic[kWireMagicSize];
+    if (ReadFullySocket(fd, magic, sizeof(magic))) {
+      hello.assign(magic, sizeof(magic));
+      WriteFullySocket(fd, "PRVMNET1", kWireMagicSize);
     }
-    return MetricsFromDepthCuts(ontologies->trees(), {2, 1, 2, 1, 1});
-  };
-  env.daemon = std::make_unique<PrivmarkDaemon>(std::move(config));
-  ASSERT_TRUE(env.daemon->Start(0).ok());
-
-  DaemonClient client(MedicalSchema());  // offers v2
-  ASSERT_TRUE(client.Connect("127.0.0.1", env.daemon->port()).ok());
-  EXPECT_EQ(client.protocol_version(), kWireProtocolV1);
-  ExpectLifecycleWorks(&client, env.dataset->table, "v2v1");
-  EXPECT_TRUE(env.daemon->Shutdown().ok());
+    char byte;
+    while (::recv(fd, &byte, 1, 0) > 0) {}  // until the client hangs up
+    ::close(fd);
+  });
+  DaemonClient client(MedicalSchema());
+  const Status connected = client.Connect("127.0.0.1", ntohs(addr.sin_port));
+  EXPECT_EQ(connected.code(), StatusCode::kIOError);
+  EXPECT_FALSE(client.Call(OpenRequest("refused")).ok());
+  peer.join();
+  ::close(listener);
+  EXPECT_EQ(hello, "PRVMNET2");
 }
 
 TEST(DaemonNegotiationTest, MixedMagicIsFatal) {
@@ -477,9 +478,7 @@ TEST(DaemonNegotiationTest, UnknownFrameTypeUnderV2ClosesConnection) {
   Env env = StartDaemon();
   const int fd = RawConnect(env.daemon->port());
   ASSERT_GE(fd, 0);
-  char magic[kWireMagicSize];
-  ASSERT_TRUE(WireMagicFor(kWireProtocolV2, magic));
-  std::string bytes(magic, kWireMagicSize);
+  std::string bytes(kWireMagic, kWireMagicSize);
   WireFrame frame;
   frame.type = static_cast<WireFrameType>(0x2a);
   frame.request_id = 1;
@@ -496,9 +495,7 @@ TEST(DaemonNegotiationTest, ResponseTypedFrameFromClientIsFatal) {
   Env env = StartDaemon();
   const int fd = RawConnect(env.daemon->port());
   ASSERT_GE(fd, 0);
-  char magic[kWireMagicSize];
-  ASSERT_TRUE(WireMagicFor(kWireProtocolV2, magic));
-  std::string bytes(magic, kWireMagicSize);
+  std::string bytes(kWireMagic, kWireMagicSize);
   WireFrame frame;
   frame.type = WireFrameType::kResponse;  // clients never send this
   frame.request_id = 1;
@@ -516,11 +513,10 @@ TEST(DaemonMultiplexTest, PipelinedCallsCompleteAndMatchTheirIds) {
   Env env = StartDaemon();
   DaemonClient client(MedicalSchema());
   ASSERT_TRUE(client.Connect("127.0.0.1", env.daemon->port()).ok());
-  ASSERT_EQ(client.protocol_version(), kWireProtocolV2);
 
   // Pipeline open + ingest + flush + close on one session without
   // waiting in between: same-session order is FIFO by send order, so
-  // the whole batch must succeed exactly as a lock-step run would.
+  // the whole batch must succeed exactly as one-at-a-time calls would.
   std::vector<DaemonClient::PendingCall> calls;
   auto push = [&calls, &client](const WireRequest& request) {
     auto call = client.CallAsync(request);
@@ -551,6 +547,53 @@ TEST(DaemonMultiplexTest, PipelinedCallsCompleteAndMatchTheirIds) {
         << "call " << i << ": " << response->status.ToString();
     EXPECT_EQ(response->request_id, calls[i].request_id());
   }
+  EXPECT_TRUE(env.daemon->Shutdown().ok());
+}
+
+// ---- connection reaping ----------------------------------------------------
+
+// Entries in a /proc/self directory (fd or task), excluding . and ..;
+// -1 when the directory cannot be read.
+int CountProcEntries(const char* path) {
+  DIR* dir = ::opendir(path);
+  if (dir == nullptr) return -1;
+  int count = 0;
+  while (const dirent* entry = ::readdir(dir)) {
+    if (std::strcmp(entry->d_name, ".") != 0 &&
+        std::strcmp(entry->d_name, "..") != 0) {
+      ++count;
+    }
+  }
+  ::closedir(dir);
+  return count;
+}
+
+TEST(DaemonTest, FinishedConnectionsAreReaped) {
+  Env env = StartDaemon();
+  // Warm up once so lazily created service state (the worker pool, a
+  // session strand) is part of the baseline, not of the growth.
+  ExpectStillServing(env.daemon.get(), "warm-up");
+  const int fds_before = CountProcEntries("/proc/self/fd");
+  const int tasks_before = CountProcEntries("/proc/self/task");
+  ASSERT_GT(fds_before, 0);
+  ASSERT_GT(tasks_before, 0);
+
+  constexpr int kCycles = 200;
+  for (int i = 0; i < kCycles; ++i) {
+    // Connect, open, close, disconnect (the client's destructor).
+    ExpectStillServing(env.daemon.get(), "cycle-" + std::to_string(i));
+    if (HasFatalFailure()) return;
+  }
+  // Reaping happens at the next accept, and the last few daemon-side
+  // connections may still be finishing when their successor is
+  // accepted; one more connection gives the reaper a final pass.
+  ExpectStillServing(env.daemon.get(), "final");
+  // Leaking would leave ~kCycles descriptors and threads behind.
+  constexpr int kSlack = 8;
+  EXPECT_LE(CountProcEntries("/proc/self/fd"), fds_before + kSlack);
+  EXPECT_LE(CountProcEntries("/proc/self/task"), tasks_before + kSlack);
+  EXPECT_EQ(env.daemon->connections_accepted(),
+            static_cast<size_t>(kCycles) + 2);
   EXPECT_TRUE(env.daemon->Shutdown().ok());
 }
 

@@ -78,35 +78,47 @@ void ExpectTablesEqual(const Table& a, const Table& b) {
 
 // ---- framing -------------------------------------------------------------
 
+// A request-style frame (id 1, final) around `payload`.
+Result<std::string> EncodeFrame(WireFrameType type, std::string payload) {
+  WireFrame frame;
+  frame.type = type;
+  frame.request_id = 1;
+  frame.payload = std::move(payload);
+  return EncodeWireFrame(frame, kWireProtocolV2);
+}
+
 TEST(WireFrameTest, RoundTrip) {
-  auto frame = EncodeWireFrame(WireFrameType::kIngest, "payload");
+  auto frame = EncodeFrame(WireFrameType::kIngest, "payload");
   ASSERT_TRUE(frame.ok());
-  ASSERT_GE(frame->size(), kWireFrameHeaderBytes + 1);
-  auto body_length = WireFrameBodyLength(frame->data());
+  ASSERT_GE(frame->size(), kWireFrameHeaderBytes + 1 + kWireEnvelopeBytes);
+  auto body_length = WireFrameBodyLength(frame->data(), kWireProtocolV2);
   ASSERT_TRUE(body_length.ok());
   EXPECT_EQ(*body_length, frame->size() - kWireFrameHeaderBytes);
-  auto decoded = DecodeWireFrameBody(
-      frame->data(), frame->data() + kWireFrameHeaderBytes, *body_length);
+  auto decoded =
+      DecodeWireFrameBody(frame->data(), frame->data() + kWireFrameHeaderBytes,
+                          *body_length, kWireProtocolV2);
   ASSERT_TRUE(decoded.ok());
   EXPECT_EQ(decoded->type, WireFrameType::kIngest);
+  EXPECT_EQ(decoded->request_id, 1u);
   EXPECT_EQ(decoded->payload, "payload");
 }
 
 TEST(WireFrameTest, EmptyPayloadRoundTrips) {
-  auto frame = EncodeWireFrame(WireFrameType::kClose, "");
+  auto frame = EncodeFrame(WireFrameType::kClose, "");
   ASSERT_TRUE(frame.ok());
-  auto body_length = WireFrameBodyLength(frame->data());
+  auto body_length = WireFrameBodyLength(frame->data(), kWireProtocolV2);
   ASSERT_TRUE(body_length.ok());
-  EXPECT_EQ(*body_length, 1u);  // just the type byte
-  auto decoded = DecodeWireFrameBody(
-      frame->data(), frame->data() + kWireFrameHeaderBytes, *body_length);
+  EXPECT_EQ(*body_length, 10u);  // the type byte + the 9-byte envelope
+  auto decoded =
+      DecodeWireFrameBody(frame->data(), frame->data() + kWireFrameHeaderBytes,
+                          *body_length, kWireProtocolV2);
   ASSERT_TRUE(decoded.ok());
   EXPECT_EQ(decoded->payload, "");
 }
 
 TEST(WireFrameTest, OversizedEncodeRefused) {
   std::string huge(kMaxWireFrameBytes + 1, 'x');
-  auto frame = EncodeWireFrame(WireFrameType::kIngest, huge);
+  auto frame = EncodeFrame(WireFrameType::kIngest, std::move(huge));
   EXPECT_FALSE(frame.ok());
   EXPECT_EQ(frame.status().code(), StatusCode::kInvalidArgument);
 }
@@ -118,41 +130,77 @@ TEST(WireFrameTest, OversizedLengthHeaderRefusedBeforeAllocation) {
   const uint32_t huge = std::numeric_limits<uint32_t>::max();
   std::memcpy(header, &huge, sizeof(huge));
   std::memset(header + 4, 0, 4);
-  auto body_length = WireFrameBodyLength(header);
+  auto body_length = WireFrameBodyLength(header, kWireProtocolV2);
   EXPECT_FALSE(body_length.ok());
   EXPECT_EQ(body_length.status().code(), StatusCode::kInvalidArgument);
 }
 
 TEST(WireFrameTest, CrcDamageDetected) {
-  auto frame = EncodeWireFrame(WireFrameType::kDetect, "abcdef");
+  auto frame = EncodeFrame(WireFrameType::kDetect, "abcdef");
   ASSERT_TRUE(frame.ok());
   // Flip one payload bit.
   std::string bent = *frame;
-  bent[kWireFrameHeaderBytes + 3] ^= 0x01;
-  auto body_length = WireFrameBodyLength(bent.data());
+  bent[kWireFrameHeaderBytes + 1 + kWireEnvelopeBytes + 3] ^= 0x01;
+  auto body_length = WireFrameBodyLength(bent.data(), kWireProtocolV2);
   ASSERT_TRUE(body_length.ok());
-  auto decoded = DecodeWireFrameBody(
-      bent.data(), bent.data() + kWireFrameHeaderBytes, *body_length);
+  auto decoded =
+      DecodeWireFrameBody(bent.data(), bent.data() + kWireFrameHeaderBytes,
+                          *body_length, kWireProtocolV2);
   EXPECT_FALSE(decoded.ok());
 }
 
 TEST(WireFrameTest, UnknownTypeTagRefused) {
-  for (const uint8_t tag : {uint8_t{0}, uint8_t{255}}) {
-    auto frame = EncodeWireFrame(static_cast<WireFrameType>(tag), "x");
+  for (const uint8_t tag : {uint8_t{0}, uint8_t{9}, uint8_t{255}}) {
+    auto frame = EncodeFrame(static_cast<WireFrameType>(tag), "x");
     ASSERT_TRUE(frame.ok());  // encode is by-construction trusted
-    auto body_length = WireFrameBodyLength(frame->data());
+    auto body_length = WireFrameBodyLength(frame->data(), kWireProtocolV2);
     ASSERT_TRUE(body_length.ok());
-    auto decoded = DecodeWireFrameBody(
-        frame->data(), frame->data() + kWireFrameHeaderBytes, *body_length);
+    auto decoded = DecodeWireFrameBody(frame->data(),
+                                       frame->data() + kWireFrameHeaderBytes,
+                                       *body_length, kWireProtocolV2);
     EXPECT_FALSE(decoded.ok()) << "tag " << int{tag};
   }
-  // kPartial (tag 8) is a v2-only continuation: a v1 peer neither
-  // encodes nor accepts it.
-  auto partial = EncodeWireFrame(WireFrameType::kPartial, "x");
-  EXPECT_FALSE(partial.ok());
 }
 
-// ---- v2 framing ----------------------------------------------------------
+TEST(WireFrameTest, UnknownProtocolVersionsRefused) {
+  auto frame = EncodeFrame(WireFrameType::kIngest, "x");
+  ASSERT_TRUE(frame.ok());
+  const size_t body_length = frame->size() - kWireFrameHeaderBytes;
+  WireFrame request;
+  request.type = WireFrameType::kIngest;
+  request.payload = "x";
+  // 1 is the retired lock-step protocol; 0 and 3 were never defined.
+  for (const uint8_t version : {uint8_t{0}, uint8_t{1}, uint8_t{3}}) {
+    auto encoded = EncodeWireFrame(request, version);
+    EXPECT_EQ(encoded.status().code(), StatusCode::kInvalidArgument)
+        << "version " << int{version};
+    auto length = WireFrameBodyLength(frame->data(), version);
+    EXPECT_EQ(length.status().code(), StatusCode::kInvalidArgument)
+        << "version " << int{version};
+    auto decoded = DecodeWireFrameBody(frame->data(),
+                                       frame->data() + kWireFrameHeaderBytes,
+                                       body_length, version);
+    EXPECT_EQ(decoded.status().code(), StatusCode::kInvalidArgument)
+        << "version " << int{version};
+  }
+}
+
+// ---- envelope --------------------------------------------------------------
+
+TEST(WireFrameV2Test, V1EncoderRefusesV2Envelope) {
+  // Version 1, the retired lock-step framing, had no envelope: asking for
+  // it is refused whether or not the frame carries v2-only fields.
+  WireFrame frame;
+  frame.type = WireFrameType::kIngest;
+  frame.payload = "x";
+  frame.request_id = 1;
+  EXPECT_EQ(EncodeWireFrame(frame, 1).status().code(),
+            StatusCode::kInvalidArgument);
+  frame.request_id = 0;
+  frame.streamed = true;
+  EXPECT_EQ(EncodeWireFrame(frame, 1).status().code(),
+            StatusCode::kInvalidArgument);
+}
 
 TEST(WireFrameV2Test, EnvelopeRoundTripsIdAndFlags) {
   WireFrame frame;
@@ -241,30 +289,6 @@ TEST(WireFrameV2Test, UnknownFlagBitsRefused) {
                                      bent.data() + kWireFrameHeaderBytes,
                                      *body_length, kWireProtocolV2);
   EXPECT_FALSE(decoded.ok());
-}
-
-TEST(WireFrameV2Test, V1EncoderRefusesV2Envelope) {
-  WireFrame frame;
-  frame.type = WireFrameType::kIngest;
-  frame.payload = "x";
-  frame.request_id = 1;  // v1 has nowhere to put this
-  EXPECT_FALSE(EncodeWireFrame(frame, kWireProtocolV1).ok());
-  frame.request_id = 0;
-  frame.streamed = true;
-  EXPECT_FALSE(EncodeWireFrame(frame, kWireProtocolV1).ok());
-}
-
-TEST(WireMagicTest, VersionParseAndFormat) {
-  char magic[kWireMagicSize];
-  ASSERT_TRUE(WireMagicFor(kWireProtocolV1, magic));
-  EXPECT_EQ(WireMagicVersion(magic), kWireProtocolV1);
-  ASSERT_TRUE(WireMagicFor(kWireProtocolV2, magic));
-  EXPECT_EQ(WireMagicVersion(magic), kWireProtocolV2);
-  EXPECT_FALSE(WireMagicFor(0, magic));
-  EXPECT_FALSE(WireMagicFor(3, magic));
-  // A foreign magic (wrong prefix or unknown version byte) parses as 0.
-  EXPECT_EQ(WireMagicVersion("NOTMAGIC"), 0);
-  EXPECT_EQ(WireMagicVersion("PRVMNET9"), 0);
 }
 
 // ---- table codec ---------------------------------------------------------
